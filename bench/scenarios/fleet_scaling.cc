@@ -1,7 +1,7 @@
 /**
  * @file
  * Fleet scaling: the same workload replayed on 1, 4 and 16 drives.
- * Reports the drive-parallel simulator's deterministic load profile —
+ * Reports the fleet simulator's deterministic load profile —
  * kernel events, conservative synchronization rounds — alongside the
  * modeled makespan and IOPS, so the EXPERIMENTS.md wall-clock table
  * (events/s at RIF_THREADS=1/2/8) has a stable events denominator.

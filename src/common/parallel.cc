@@ -220,194 +220,6 @@ pool()
 
 } // namespace
 
-/**
- * Epoch-barrier team. Round publication is one release store of the
- * epoch counter; members acknowledge through one atomic decrement.
- * The mutex/condvars are touched only when somebody actually sleeps:
- * members count themselves in `sleepers` before parking so the caller
- * can skip the notify entirely in the common spin-hit case, and the
- * caller parks on `doneCv` only after its own spin budget runs out.
- */
-struct WorkerTeam::Impl
-{
-    explicit Impl(int n) : members(n)
-    {
-        for (int m = 1; m < members; ++m)
-            threads.emplace_back([this, m] { memberLoop(m); });
-    }
-
-    ~Impl()
-    {
-        stopping.store(true);
-        epoch.fetch_add(1);
-        {
-            std::unique_lock<std::mutex> lock(mutex);
-        }
-        wakeCv.notify_all();
-        for (auto &t : threads)
-            t.join();
-    }
-
-    /** Spin iterations before parking; yields keep a core-starved host
-     *  (or an oversubscribed CI runner) from stalling the round. */
-    static constexpr int kSpinIters = 1024;
-
-    void
-    runBody(int member)
-    {
-        void *prev[kMaxContextHooks];
-        const bool foreign = member != 0;
-        if (foreign)
-            for (int h = 0; h < ctx.count; ++h)
-                prev[h] = g_ctx_hooks[h].install(ctx.vals[h]);
-        const bool wasInParallel = t_inParallel;
-        t_inParallel = true;
-        try {
-            (*body)(member);
-        } catch (...) {
-            std::unique_lock<std::mutex> lock(mutex);
-            if (!error)
-                error = std::current_exception();
-        }
-        t_inParallel = wasInParallel;
-        if (foreign)
-            for (int h = ctx.count - 1; h >= 0; --h)
-                g_ctx_hooks[h].restore(prev[h]);
-    }
-
-    void
-    memberLoop(int member)
-    {
-        std::uint64_t seen = 0;
-        while (true) {
-            // Bounded spin on the epoch; park only when no round shows
-            // up. A yield every iteration keeps progress on hosts with
-            // fewer cores than members.
-            bool woke = false;
-            for (int i = 0; i < kSpinIters; ++i) {
-                if (epoch.load(std::memory_order_acquire) != seen) {
-                    woke = true;
-                    break;
-                }
-                if ((i & 15) == 15)
-                    std::this_thread::yield();
-            }
-            if (!woke) {
-                std::unique_lock<std::mutex> lock(mutex);
-                // Sequentially-consistent increment-then-recheck pairs
-                // with the caller's bump-then-read: either this member
-                // sees the new epoch in the wait predicate, or the
-                // caller sees sleepers > 0 and notifies.
-                sleepers.fetch_add(1);
-                parked.fetch_add(1, std::memory_order_relaxed);
-                wakeCv.wait(lock, [&] { return epoch.load() != seen; });
-                sleepers.fetch_sub(1);
-            }
-            seen = epoch.load(std::memory_order_acquire);
-            if (stopping.load(std::memory_order_relaxed))
-                return;
-            runBody(member);
-            if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-                // Last member out: wake the caller if it parked.
-                std::unique_lock<std::mutex> lock(mutex);
-                if (callerParked)
-                    doneCv.notify_one();
-            }
-        }
-    }
-
-    void
-    round(const std::function<void(int)> &fn)
-    {
-        if (members == 1 || t_inParallel) {
-            for (int m = 0; m < members; ++m)
-                fn(m);
-            return;
-        }
-        body = &fn;
-        ctx = captureTaskContexts();
-        error = nullptr;
-        remaining.store(members - 1, std::memory_order_relaxed);
-        epoch.fetch_add(1);
-        ++dispatched;
-        if (sleepers.load() > 0) {
-            // The lock orders this notify after any member that beat
-            // the bump into its wait; a spurious notify is harmless.
-            std::unique_lock<std::mutex> lock(mutex);
-            wakeCv.notify_all();
-        }
-        runBody(0);
-        for (int i = 0; i < kSpinIters; ++i) {
-            if (remaining.load(std::memory_order_acquire) == 0)
-                break;
-            if ((i & 15) == 15)
-                std::this_thread::yield();
-        }
-        if (remaining.load(std::memory_order_acquire) != 0) {
-            std::unique_lock<std::mutex> lock(mutex);
-            callerParked = true;
-            doneCv.wait(lock, [&] {
-                return remaining.load(std::memory_order_acquire) == 0;
-            });
-            callerParked = false;
-        }
-        body = nullptr;
-        if (error)
-            std::rethrow_exception(error);
-    }
-
-    const int members;
-    std::vector<std::thread> threads;
-
-    std::atomic<std::uint64_t> epoch{0};
-    std::atomic<int> remaining{0};
-    std::atomic<std::uint64_t> parked{0};
-    std::uint64_t dispatched = 0;
-
-    std::mutex mutex;
-    std::condition_variable wakeCv;
-    std::condition_variable doneCv;
-    std::atomic<int> sleepers{0};
-    bool callerParked = false;
-    std::atomic<bool> stopping{false};
-
-    const std::function<void(int)> *body = nullptr;
-    CapturedContexts ctx;
-    std::exception_ptr error;
-};
-
-WorkerTeam::WorkerTeam(int members)
-    : impl_(std::make_unique<Impl>(
-          std::max(1, std::min(members, globalThreadCount()))))
-{
-}
-
-WorkerTeam::~WorkerTeam() = default;
-
-int
-WorkerTeam::members() const
-{
-    return impl_->members;
-}
-
-void
-WorkerTeam::round(const std::function<void(int)> &fn)
-{
-    impl_->round(fn);
-}
-
-std::uint64_t
-WorkerTeam::roundsDispatched() const
-{
-    return impl_->dispatched;
-}
-
-std::uint64_t
-WorkerTeam::parks() const
-{
-    return impl_->parked.load(std::memory_order_relaxed);
-}
-
 void
 registerTaskContext(const TaskContextHooks &hooks)
 {

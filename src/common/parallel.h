@@ -101,68 +101,6 @@ class ThreadArena
 };
 
 /**
- * A persistent team of pinned workers for round-structured parallel
- * loops (the fleet's conservative drive-parallel rounds). Where
- * parallelFor publishes a fresh job through the pool's mutex and
- * condition variable every call, a WorkerTeam keeps its members alive
- * across rounds and wakes them through a lightweight epoch barrier:
- * the caller bumps an atomic epoch, members spin briefly on it and
- * only park on a condition variable when no round arrives, then
- * signal completion through an atomic countdown. Per-round dispatch
- * cost is therefore a handful of atomic operations instead of a
- * mutex-protected publish + wake + drain handshake, which is the
- * difference that matters when the round body is small and the round
- * count is large (tens of thousands of lookahead rounds at small
- * interconnect latency).
- *
- * Semantics:
- *  - round(fn) runs fn(member) exactly once for every member in
- *    [0, members()); member 0 is the calling thread. It blocks until
- *    all members return. Exceptions propagate to the caller (first
- *    one wins) after the round drains.
- *  - Ambient task contexts (metrics collector, trace recorder) are
- *    captured from the caller each round and installed on the other
- *    members for the round's duration, exactly like parallelFor.
- *  - Bodies run with the nested-parallelism guard set, so a
- *    parallelFor issued from inside a round executes inline.
- *  - The requested size is clamped to [1, globalThreadCount()] at
- *    construction (arena-aware), so a team never oversubscribes the
- *    configured budget; a 1-member team runs every round inline.
- *
- * Teams change only which threads execute bodies, never what the
- * bodies compute — results must stay bit-identical to a serial loop,
- * the same contract parallelFor carries.
- */
-class WorkerTeam
-{
-  public:
-    /** Spawns min(members, globalThreadCount()) - 1 pinned threads. */
-    explicit WorkerTeam(int members);
-    ~WorkerTeam();
-    WorkerTeam(const WorkerTeam &) = delete;
-    WorkerTeam &operator=(const WorkerTeam &) = delete;
-
-    int members() const;
-
-    /** Run fn(member) on every member and block until all complete. */
-    void round(const std::function<void(int)> &fn);
-
-    /** Rounds dispatched to the full team (inline rounds excluded). */
-    std::uint64_t roundsDispatched() const;
-
-    /**
-     * Times a member exhausted its spin budget and parked on the
-     * condition variable. Wall-clock dependent — diagnostics and
-     * benchmarks only, never results or metrics.
-     */
-    std::uint64_t parks() const;
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
-
-/**
  * Thread-local ambient context propagated into parallel regions.
  *
  * Subsystems that stash per-thread state in `thread_local` variables

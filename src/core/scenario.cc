@@ -186,17 +186,5 @@ runScenarios(const std::vector<const Scenario *> &selected,
     }
 }
 
-int
-runScenarioShim(const char *name, double scale)
-{
-    const Scenario *scenario = ScenarioRegistry::instance().find(name);
-    if (scenario == nullptr)
-        fatal("scenario '", name, "' is not registered");
-    const OptionSet no_overrides;
-    TableSink sink(std::cout);
-    runScenario(*scenario, sink, scale, no_overrides);
-    return 0;
-}
-
 } // namespace core
 } // namespace rif

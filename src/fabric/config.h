@@ -51,7 +51,7 @@ struct FleetConfig
 
     /**
      * One-way link propagation latency, host <-> each drive. Also the
-     * lookahead window of the conservative drive-parallel scheduler:
+     * lookahead window of the conservative round scheduler:
      * larger values mean fewer synchronization barriers. Must be > 0
      * unless drives == 1 (the degenerate coupled mode, used by the
      * bare-Ssd equivalence tests, runs the single drive's closed loop

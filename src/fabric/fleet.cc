@@ -1,7 +1,6 @@
 #include "fabric/fleet.h"
 
 #include <algorithm>
-#include <atomic>
 #include <string>
 
 #include "common/hash.h"
@@ -72,8 +71,7 @@ class DriveView final : public trace::TraceSource
 
 Fleet::Fleet(const ssd::SsdConfig &base, const FleetConfig &config)
     : baseCfg_(base), cfg_(config), placement_(config),
-      net_(config.drives, config.linkGBps, config.linkTicks()),
-      hostSim_(0)
+      net_(config.drives, config.linkGBps, config.linkTicks())
 {
     baseCfg_.validate();
     cfg_.validate();
@@ -86,9 +84,7 @@ Fleet::Fleet(const ssd::SsdConfig &base, const FleetConfig &config)
         cfg->seed = driveSeed(baseCfg_.seed, d);
         if (d < cfg_.agedDrives)
             cfg->peCycles = cfg_.agedPeCycles;
-        // simShards = 0: whole drives are the parallel unit here, so
-        // each drive runs the plain single-queue kernel on its worker.
-        drives_.push_back(std::make_unique<ssd::Ssd>(*cfg, 0));
+        drives_.push_back(std::make_unique<ssd::Ssd>(*cfg));
         drives_.back()->setMetricsPrefix("ssd" + std::to_string(d) + ".");
         driveCfgs_.push_back(std::move(cfg));
     }
@@ -163,7 +159,7 @@ Fleet::run(trace::TraceSource &source, ssd::ArrivalPolicy &policy)
 
     // Precondition every drive's FTL up front. Independent work (the
     // snapshot cache is single-flight and each drive's key differs by
-    // its forked seed), so it rides the same worker pool as the rounds.
+    // its forked seed), so it rides the worker pool.
     parallelForWorker(
         static_cast<std::size_t>(n), [&](std::size_t d, int) {
             tracing::TrackScope track(
@@ -176,46 +172,24 @@ Fleet::run(trace::TraceSource &source, ssd::ArrivalPolicy &policy)
     // window immediately, the open loop schedules the first arrival.
     policy.prime(*this, 0);
 
-    // Conservative drive-parallel rounds. Any message crossing the
+    // Conservative lookahead rounds. Any message crossing the
     // interconnect from time t arrives no earlier than t + L, so with
     // b = the earliest pending tick anywhere, every event in
     // [b, b + L - 1] is already determined: drives advance to the
-    // horizon concurrently, then completions cross (phase two) and the
-    // host catches up (phase three), scheduling next-round submissions
-    // that provably land past the horizon.
+    // horizon independently, then completions cross (phase two) and
+    // the host catches up (phase three), scheduling next-round
+    // submissions that provably land past the horizon.
     //
-    // Execution is decoupled from that logical structure (DESIGN §5i):
-    // a persistent worker team replaces the per-round pool publish —
-    // members park on an epoch barrier between rounds — and a round
-    // dispatches only the drives whose own bound lies inside the
-    // window. Skipping an idle drive is exact: runUntil past an empty
-    // window pops nothing, refills nothing, and only advances the
-    // drive clock, which no event or bound query can observe (see
-    // Simulator::runUntil). Rounds with at most one active drive
-    // coalesce onto this thread and never touch the barrier.
+    // The drives of a round run one after another on this thread
+    // (DESIGN §5i). A round advances only the drives whose own bound
+    // lies inside the window. Skipping an idle drive is exact: runUntil
+    // past an empty window pops nothing, refills nothing, and only
+    // advances the drive clock, which no event or bound query can
+    // observe (see Simulator::runUntil).
     const Tick lookahead = cfg_.linkTicks();
-    WorkerTeam team(n);
     boundScratch_.assign(static_cast<std::size_t>(n), 0);
     activeScratch_.clear();
     activeScratch_.reserve(static_cast<std::size_t>(n));
-    // Round body built once, outside the loop: per-round state flows
-    // through these locals so the steady round loop never constructs a
-    // std::function (see the zero-allocation audit in micro_fleet).
-    std::atomic<std::size_t> cursor{0};
-    std::size_t roundActive = 0;
-    Tick roundHorizon = 0;
-    const std::function<void(int)> roundBody = [&](int) {
-        while (true) {
-            const std::size_t i =
-                cursor.fetch_add(1, std::memory_order_relaxed);
-            if (i >= roundActive)
-                break;
-            const int d = activeScratch_[i];
-            tracing::TrackScope track(
-                baseTrack + 1 + static_cast<std::uint32_t>(d));
-            drives_[static_cast<std::size_t>(d)]->runUntil(roundHorizon);
-        }
-    };
     while (true) {
         Tick bound = hostSim_.nextEventBound();
         for (int d = 0; d < n; ++d) {
@@ -238,24 +212,18 @@ Fleet::run(trace::TraceSource &source, ssd::ArrivalPolicy &policy)
                 stats_.barrierWaitTicks += lookahead;
             }
         }
-
-        const std::size_t nActive = activeScratch_.size();
-        if (nActive <= 1) {
+        if (activeScratch_.size() <= 1)
             ++stats_.roundsCoalesced;
-            if (nActive == 1) {
-                const int d = activeScratch_[0];
+
+        // A drive run touches only its own kernel and completion
+        // buffer, so its completions can cross before the next drive
+        // runs.
+        for (const int d : activeScratch_) {
+            {
                 tracing::TrackScope track(
                     baseTrack + 1 + static_cast<std::uint32_t>(d));
                 drives_[static_cast<std::size_t>(d)]->runUntil(horizon);
             }
-        } else {
-            cursor.store(0, std::memory_order_relaxed);
-            roundActive = nActive;
-            roundHorizon = horizon;
-            team.round(roundBody);
-        }
-
-        for (const int d : activeScratch_) {
             auto &buf = doneBufs_[static_cast<std::size_t>(d)];
             for (const DoneRec &rec : buf)
                 deliverCompletion(rec);
@@ -452,14 +420,14 @@ Fleet::publishFleetMetrics() const
             "replicated-read chunks steered off the primary replica",
             stats_.replicaReadsBalanced);
     counter("fabric.sync_rounds", "rounds",
-            "conservative drive-parallel synchronization rounds",
+            "conservative lookahead synchronization rounds",
             stats_.syncRounds);
     counter("fabric.round.coalesced", "rounds",
-            "rounds coalesced onto the host thread (at most one drive "
-            "had work inside the window)",
+            "rounds in which at most one drive had work inside the "
+            "window",
             stats_.roundsCoalesced);
     counter("fabric.round.barrier_wait_ticks", "ticks",
-            "simulated ticks drive lanes sat idle inside round windows",
+            "simulated ticks drives sat idle inside round windows",
             stats_.barrierWaitTicks);
     counter("fabric.link.busy_ticks", "ticks",
             "interconnect serialization time summed over all links",

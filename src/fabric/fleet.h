@@ -4,20 +4,15 @@
  * host-side interconnect, replaying one host workload closed-loop at a
  * fleet-wide queue depth. Placement (striping or replication) maps each
  * host command to per-drive sub-IOs; replicated reads pick the
- * least-loaded replica. The performance core is conservative
- * drive-parallel simulation: each drive advances on its own event lane
- * to a shared horizon bounded by the link latency (no message can cross
- * the interconnect in less than one link delay), so drives execute
- * concurrently and only synchronize at interconnect-crossing events —
- * bit-identical at any thread count.
- *
- * The execution vehicle is a persistent WorkerTeam: drive lanes live on
- * pinned workers that park on an epoch barrier between rounds instead
- * of a pool job being re-published per round, a round dispatches only
- * the drives with work inside its window (skipping an idle drive is a
- * proven no-op on its kernel), and rounds where at most one drive is
- * active coalesce onto the host thread with no barrier traffic at all.
- * See DESIGN.md §5i for the protocol and the correctness argument.
+ * least-loaded replica. The simulation core is conservative lookahead:
+ * each drive advances on its own event kernel to a shared horizon
+ * bounded by the link latency (no message can cross the interconnect
+ * in less than one link delay), so drives only synchronize at
+ * interconnect-crossing events. A round runs the drives with work
+ * inside its window one after another on the calling thread (skipping
+ * an idle drive is a proven no-op on its kernel); parallelism lives
+ * across independent fleet runs, never inside one. See DESIGN.md §5i
+ * for the protocol and the correctness argument.
  */
 
 #ifndef RIF_FABRIC_FLEET_H
@@ -50,17 +45,16 @@ struct FleetStats
     std::uint64_t subIos = 0;       ///< per-drive fragments issued
     /** Replicated-read chunks steered away from the primary replica. */
     std::uint64_t replicaReadsBalanced = 0;
-    /** Conservative synchronization rounds (drive-parallel barriers). */
+    /** Conservative synchronization rounds (lookahead windows). */
     std::uint64_t syncRounds = 0;
     /**
-     * Rounds whose drive phase coalesced onto the host thread: at most
-     * one drive had work at or before the horizon, so the round cost
-     * no team wake-up at all. A pure function of simulated state —
-     * identical at any RIF_THREADS / --jobs setting.
+     * Coalesced rounds: at most one drive had work at or before the
+     * horizon. A pure function of simulated state — identical at any
+     * RIF_THREADS / --jobs setting.
      */
     std::uint64_t roundsCoalesced = 0;
     /**
-     * Simulated ticks drive lanes spent parked at round barriers: for
+     * Simulated ticks drives spent idle inside round windows: for
      * each round, each drive contributes the gap between the round
      * base and its own earliest pending work (the full window when it
      * has none). Measures lookahead skew, deterministically.
@@ -120,7 +114,7 @@ class Fleet : private ssd::InjectPort
      * path byte-for-byte; OpenLoopArrival offers load at the records'
      * arrival ticks with a bounded host queue and drop accounting.
      * Arrival events run on the host lane, so the conservative
-     * drive-parallel rounds (and their bit-identical guarantee at any
+     * lookahead rounds (and their bit-identical guarantee at any
      * thread count) are unchanged: a submission at host tick t reaches
      * a drive no earlier than t + linkTicks, past every round horizon.
      */

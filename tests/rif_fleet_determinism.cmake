@@ -1,13 +1,14 @@
 # ctest script: the fleet scenarios through the real `rif` driver —
-# the drive-parallel simulator's acceptance gate. Each scenario runs at
+# the fleet simulator's acceptance gate. Each scenario runs at
 # RIF_THREADS=1/2/8 crossed with --jobs 1/4 and must produce
-# byte-identical CSV output: drives advance concurrently between
-# conservative barriers, so neither the worker budget nor scenario-level
-# parallelism may leak into results. fleet_p99 additionally runs at 16
-# drives (--set fleet.drives=16), the fleet-width determinism target;
-# fleet_scaling also runs with a 1 us link (tiny lookahead window: many
-# short rounds, the stress case for round coalescing and the epoch
-# barrier), and fleet_open_loop pins the arrival-policy path.
+# byte-identical CSV output: drives are preconditioned on the worker
+# pool and scenarios may run concurrently, so neither the worker budget
+# nor scenario-level parallelism may leak into results. fleet_p99
+# additionally runs at 16 drives (--set fleet.drives=16), the
+# fleet-width determinism target; fleet_scaling also runs with a 1 us
+# link (tiny lookahead window: many short rounds, the stress case for
+# the idle-drive skip and round coalescing), and fleet_open_loop pins
+# the arrival-policy path.
 # Invoked as:
 #   cmake -DRIF_BIN=<path to rif> -P rif_fleet_determinism.cmake
 

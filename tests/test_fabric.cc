@@ -315,10 +315,8 @@ TEST(Fleet, SkewedLoadTortureStaysThreadCountInvariant)
 {
     // Degenerate striping: a stripe wider than the global footprint
     // pins every host command on drive 0 while seven drives idle
-    // forever. This is the worst case for the epoch barrier (member
-    // bodies are maximally unbalanced round after round) and for the
-    // idle-drive skip; results must still be byte-identical at any
-    // worker budget.
+    // forever. This is the worst case for the idle-drive skip; results
+    // must still be byte-identical at any worker budget.
     FleetConfig fc = makeFleet(8);
     fc.stripePages = 16384; // > smallWorkload().footprintPages
 
@@ -337,24 +335,12 @@ TEST(Fleet, SkewedLoadTortureStaysThreadCountInvariant)
                      threaded.readLatencyUs.percentile(99));
 
     // All sub-IO really did land on drive 0 and nothing ever forced a
-    // multi-drive round, so every round coalesced onto the host thread.
+    // multi-drive round, so every round coalesced.
     ASSERT_EQ(threaded.drives.size(), 8u);
     EXPECT_EQ(threaded.drives[0].hostRequests, threaded.subIos);
     for (std::size_t d = 1; d < 8; ++d)
         EXPECT_EQ(threaded.drives[d].hostRequests, 0u);
     EXPECT_EQ(threaded.roundsCoalesced, threaded.syncRounds);
-}
-
-TEST(Fleet, DrivesAutoCollapseTheirKernels)
-{
-    // Fleet drives are constructed with simShards=0 (whole drives are
-    // the parallel unit), so their kernels must run the single-queue
-    // path regardless of the thread budget.
-    const ssd::SsdConfig base;
-    Fleet fleet(base, makeFleet(2));
-    (void)fleet; // construction is the assertion target below
-    ssd::Ssd drive(base, 0);
-    EXPECT_FALSE(drive.simulator().sharded());
 }
 
 } // namespace

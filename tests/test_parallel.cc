@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "ldpc/capability.h"
@@ -109,102 +108,6 @@ TEST(ParallelFor, NestedCallsRunInline)
     });
     EXPECT_EQ(total.load(), 256);
 }
-
-TEST(WorkerTeam, RoundRunsEveryMemberExactlyOnce)
-{
-    PoolGuard guard;
-    setGlobalThreadCount(4);
-    WorkerTeam team(4);
-    ASSERT_EQ(team.members(), 4);
-    std::vector<std::atomic<int>> hits(4);
-    for (auto &h : hits)
-        h = 0;
-    constexpr int kRounds = 500;
-    for (int r = 0; r < kRounds; ++r)
-        team.round([&](int m) {
-            hits[static_cast<std::size_t>(m)].fetch_add(
-                1, std::memory_order_relaxed);
-        });
-    for (const auto &h : hits)
-        EXPECT_EQ(h.load(), kRounds);
-    EXPECT_EQ(team.roundsDispatched(), static_cast<std::uint64_t>(kRounds));
-}
-
-TEST(WorkerTeam, ClampsToTheThreadBudgetAndRunsInlineAtOne)
-{
-    PoolGuard guard;
-    setGlobalThreadCount(2);
-    WorkerTeam clamped(16);
-    EXPECT_EQ(clamped.members(), 2);
-    setGlobalThreadCount(1);
-    WorkerTeam inline1(8);
-    EXPECT_EQ(inline1.members(), 1);
-    int hits = 0;
-    inline1.round([&](int m) {
-        EXPECT_EQ(m, 0);
-        ++hits;
-    });
-    EXPECT_EQ(hits, 1);
-    EXPECT_EQ(inline1.roundsDispatched(), 0u); // inline, never dispatched
-}
-
-TEST(WorkerTeam, SkewedRoundBodiesStayCorrect)
-{
-    // Wildly unequal per-member work (the fleet's skewed-drive shape):
-    // member 0 heavy, others trivial — plus rounds where most members
-    // do nothing at all. Totals must still come out exact.
-    PoolGuard guard;
-    setGlobalThreadCount(4);
-    WorkerTeam team(4);
-    std::vector<std::uint64_t> sums(4, 0);
-    for (int r = 0; r < 200; ++r)
-        team.round([&](int m) {
-            std::uint64_t acc = 0;
-            const int iters = m == 0 ? 2000 : (r % 3 == 0 ? 50 : 0);
-            for (int i = 0; i < iters; ++i)
-                acc += static_cast<std::uint64_t>(i) * 2654435761u;
-            // Per-member slot: no synchronization needed, like the
-            // fleet's per-drive completion buffers.
-            sums[static_cast<std::size_t>(m)] += acc + 1;
-        });
-    for (const std::uint64_t s : sums)
-        EXPECT_GE(s, 200u);
-    EXPECT_EQ(sums[1], sums[2]);
-    EXPECT_EQ(sums[1], sums[3]);
-}
-
-TEST(WorkerTeam, ExceptionPropagatesAndTeamSurvives)
-{
-    PoolGuard guard;
-    setGlobalThreadCount(4);
-    WorkerTeam team(4);
-    EXPECT_THROW(team.round([&](int m) {
-        if (m == 2)
-            throw std::runtime_error("boom");
-    }),
-                 std::runtime_error);
-    std::atomic<int> count{0};
-    team.round([&](int) { count.fetch_add(1); });
-    EXPECT_EQ(count.load(), 4);
-}
-
-#if RIF_METRICS_ENABLED
-TEST(WorkerTeam, PropagatesAmbientMetricsContextToMembers)
-{
-    // Bumps from every member must land in the caller's scope, the
-    // same ambient-context propagation parallelFor performs.
-    PoolGuard guard;
-    setGlobalThreadCount(4);
-    static const metrics::Counter mTeamTest{
-        "test.worker_team.bumps", "ops"};
-    WorkerTeam team(4);
-    metrics::MetricsScope scope;
-    for (int r = 0; r < 3; ++r)
-        team.round([&](int) { mTeamTest.add(1); });
-    const metrics::Snapshot snap = scope.finish();
-    EXPECT_EQ(snap.value("test.worker_team.bumps"), 12u);
-}
-#endif // RIF_METRICS_ENABLED
 
 TEST(ParallelConfig, SetGlobalThreadCountOverrides)
 {

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests of the discrete-event kernel: time ordering, FIFO tie-breaking,
- * reentrancy (events scheduling events) and the watchdog run bound.
+ * reentrancy (events scheduling events), the watchdog run bound and
+ * the runUntil / nextEventBound stepping interface.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "ssd/sim.h"
 
@@ -254,166 +254,90 @@ TEST(Simulator, MatchesReferenceKernelOnRandomScripts)
 }
 
 // ---------------------------------------------------------------------
-// Sharded kernel: per-channel queues merged tick by tick must preserve
-// the exact serial execution order the single-queue kernel produces.
+// runUntil / nextEventBound: the stepping interface the fleet's
+// lookahead rounds drive (and whose quiescence contract lets a round
+// skip idle drives).
 
-constexpr std::uint32_t kShards = 4;
+/** One event per calendar level: L0 (within ~16 us), L1 (within
+ *  ~16.8 ms) and the overflow heap beyond. */
+constexpr Tick kLevelDelays[] = {100, 100000, 50000000};
 
-/**
- * Shard tag as a pure function of the event id, so the reference run's
- * global log can be partitioned the same way. Children (ids >= 100000)
- * hop one shard over from their parent to exercise cross-shard
- * scheduling from inside a group; every fifth key lands on the serial
- * lane so shard groups are regularly split by serial barriers.
- */
-std::uint32_t
-shardFor(int id)
+TEST(Simulator, NextEventBoundIsNoLaterThanTheEarliestEvent)
 {
-    const int key = id >= 100000 ? id - 100000 + 1 : id;
-    if (key % 5 == 0)
-        return 0;
-    return 1 + static_cast<std::uint32_t>(key) % kShards;
-}
-
-/**
- * The same script as runRandomScript (identical ids, delays and
- * spawning rule) with every event tagged via shardFor. Each event
- * appends only to its own shard's log — the shard-confinement
- * contract — so the run is race-free even when same-tick groups
- * execute on the thread pool.
- */
-std::vector<std::vector<std::pair<Tick, int>>>
-runShardedScript(std::uint64_t seed)
-{
-    Simulator sim(static_cast<int>(kShards));
-    std::vector<std::vector<std::pair<Tick, int>>> logs(kShards + 1);
-    Rng rng(seed);
-    int next_id = 0;
-    for (int i = 0; i < 400; ++i) {
-        const Tick d = kDelays[rng.below(12)];
-        const int id = next_id++;
-        const std::uint32_t s = shardFor(id);
-        sim.scheduleShard(s, d, [&logs, &sim, id, s] {
-            logs[s].emplace_back(sim.now(), id);
-            if (id % 3 == 0) {
-                const Tick child =
-                    kDelays[static_cast<std::size_t>(id) % 12];
-                const int cid = 100000 + id;
-                const std::uint32_t cs = shardFor(cid);
-                sim.scheduleShard(cs, child, [&logs, &sim, cid, cs] {
-                    logs[cs].emplace_back(sim.now(), cid);
-                });
-            }
-        });
-    }
-    sim.run();
-    return logs;
-}
-
-TEST(ShardedSimulator, MatchesReferenceKernelPerShard)
-{
-    // The serial reference order, partitioned by shardFor, is exactly
-    // what every shard must observe: the sharded kernel executes each
-    // tick's events in global seq order, so each shard's subsequence
-    // equals the reference's subsequence.
-    for (std::uint64_t seed : {1u, 7u, 42u, 1234u}) {
-        const auto logs = runShardedScript(seed);
-        const auto ref = runRandomScript<ReferenceSimulator>(seed);
-        std::vector<std::vector<std::pair<Tick, int>>> want(kShards + 1);
-        for (const auto &entry : ref)
-            want[shardFor(entry.second)].push_back(entry);
-        std::size_t total = 0;
-        for (const auto &l : logs)
-            total += l.size();
-        ASSERT_EQ(total, ref.size()) << "seed=" << seed;
-        for (std::uint32_t s = 0; s <= kShards; ++s)
-            EXPECT_EQ(logs[s], want[s]) << "seed=" << seed
-                                        << " shard=" << s;
+    for (const Tick t : kLevelDelays) {
+        Simulator sim;
+        EXPECT_EQ(sim.nextEventBound(), ~Tick(0)) << "t=" << t;
+        sim.schedule(t, [] {});
+        const Tick bound = sim.nextEventBound();
+        EXPECT_LE(bound, t) << "t=" << t;
+        sim.run();
+        EXPECT_EQ(sim.nextEventBound(), ~Tick(0)) << "t=" << t;
     }
 }
 
-TEST(ShardedSimulator, ThreadCountInvariant)
+TEST(Simulator, RunUntilBelowTheBoundIsAPureClockAdvance)
 {
-    // Bit-identical per-shard logs whether groups run inline (1
-    // worker) or on the pool (4 workers): buffered schedules are
-    // flushed in (origin seq, emit index) order either way.
-    setGlobalThreadCount(1);
-    const auto one = runShardedScript(42);
-    setGlobalThreadCount(4);
-    const auto four = runShardedScript(42);
-    setGlobalThreadCount(0);
-    EXPECT_EQ(one, four);
+    // Quiescence contract (sim.h): with nextEventBound() > limit,
+    // runUntil pops nothing, refills nothing and leaves every later
+    // nextEventBound() value unchanged; only the clock moves.
+    for (const Tick t : kLevelDelays) {
+        Simulator sim;
+        int fired = 0;
+        sim.schedule(t, [&fired] { ++fired; });
+        const Tick bound = sim.nextEventBound();
+        ASSERT_GT(bound, 0u) << "t=" << t;
+        for (const Tick limit : {Tick(0), bound / 2, bound - 1}) {
+            EXPECT_EQ(sim.runUntil(limit), limit) << "t=" << t;
+            EXPECT_EQ(sim.nextEventBound(), bound)
+                << "t=" << t << " limit=" << limit;
+            EXPECT_EQ(sim.eventsExecuted(), 0u);
+            EXPECT_EQ(fired, 0);
+        }
+        EXPECT_EQ(sim.now(), bound - 1) << "t=" << t;
+        sim.run();
+        EXPECT_EQ(fired, 1) << "t=" << t;
+        EXPECT_EQ(sim.now(), t) << "t=" << t;
+    }
 }
 
-TEST(ShardedSimulator, SerialLaneBarriersShardGroups)
+TEST(Simulator, RunUntilRunsEventsAtExactlyTheLimit)
 {
-    // A serial-lane event splits same-tick shard work into groups: all
-    // shard events scheduled before it complete first, none scheduled
-    // after it have started. The serial event may therefore read every
-    // shard's state — exactly how host-side completions observe device
-    // shards.
-    Simulator sim(2);
-    std::vector<int> l1, l2;
-    std::size_t seen_at_barrier = 99;
-    sim.scheduleShard(1, 5, [&l1] { l1.push_back(1); });
-    sim.scheduleShard(2, 5, [&l2] { l2.push_back(2); });
-    sim.scheduleShard(0, 5, [&] { seen_at_barrier = l1.size() + l2.size(); });
-    sim.scheduleShard(1, 5, [&l1] { l1.push_back(3); });
-    sim.run();
-    EXPECT_EQ(seen_at_barrier, 2u);
-    EXPECT_EQ(l1, (std::vector<int>{1, 3}));
-    EXPECT_EQ(l2, (std::vector<int>{2}));
+    for (const Tick t : kLevelDelays) {
+        Simulator sim;
+        std::vector<Tick> ran;
+        sim.schedule(t - 1, [&] { ran.push_back(sim.now()); });
+        sim.schedule(t, [&] { ran.push_back(sim.now()); });
+        sim.schedule(t, [&] { ran.push_back(sim.now()); });
+        sim.schedule(t + 1, [&] { ran.push_back(sim.now()); });
+        EXPECT_EQ(sim.runUntil(t), t) << "t=" << t;
+        EXPECT_EQ(ran, (std::vector<Tick>{t - 1, t, t})) << "t=" << t;
+        // The event past the limit stays queued, and the bound is now
+        // exact: it sits in the repositioned L0 window.
+        EXPECT_EQ(sim.nextEventBound(), t + 1) << "t=" << t;
+        EXPECT_FALSE(sim.empty());
+        sim.run();
+        EXPECT_EQ(ran.size(), 4u);
+        EXPECT_EQ(sim.now(), t + 1);
+    }
 }
 
-TEST(ShardedSimulator, RunBoundResumesMidTick)
+TEST(Simulator, RunUntilLandsTheClockOnTheLimitAfterDraining)
 {
-    // The watchdog can stop inside a gathered tick; resuming must pick
-    // up the remaining pending events without skipping or reordering.
-    Simulator sim(2);
-    std::vector<int> order;
-    for (int i = 0; i < 6; ++i)
-        sim.scheduleShard(0, 9, [&order, i] { order.push_back(i); });
-    sim.run(2);
-    EXPECT_EQ(order, (std::vector<int>{0, 1}));
-    EXPECT_FALSE(sim.empty());
-    sim.run(3);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-    sim.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-}
-
-TEST(ShardedSimulator, CollapsesToSerialWhenUnsharded)
-{
-    // scheduleShard on a shards==0 kernel must behave exactly like
-    // schedule: everything lands on the single serial queue.
-    Simulator sim;
-    std::vector<int> order;
-    sim.scheduleShard(3, 10, [&order] { order.push_back(1); });
-    sim.schedule(10, [&order] { order.push_back(2); });
-    sim.scheduleShard(1, 5, [&order] { order.push_back(0); });
-    sim.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(ShardedSimulator, AutoCollapsesOnOneWorkerBudget)
-{
-    // With one worker there is nothing to overlap, so a sharded
-    // construction request collapses to the single-queue kernel (no
-    // gather/merge/flush tax) while shard tags keep routing correctly.
-    setGlobalThreadCount(1);
-    Simulator collapsed(8);
-    EXPECT_FALSE(collapsed.sharded());
-    std::vector<int> order;
-    collapsed.scheduleShard(5, 10, [&order] { order.push_back(1); });
-    collapsed.scheduleShard(2, 5, [&order] { order.push_back(0); });
-    collapsed.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1}));
-
-    // A real worker budget keeps the sharded path.
-    setGlobalThreadCount(4);
-    Simulator sharded(8);
-    EXPECT_TRUE(sharded.sharded());
-    setGlobalThreadCount(0);
+    for (const Tick t : kLevelDelays) {
+        Simulator sim;
+        std::vector<Tick> ran;
+        sim.schedule(t, [&] { ran.push_back(sim.now()); });
+        const Tick limit = 2 * t + 7;
+        EXPECT_EQ(sim.runUntil(limit), limit) << "t=" << t;
+        EXPECT_EQ(sim.now(), limit);
+        EXPECT_TRUE(sim.empty());
+        EXPECT_EQ(sim.nextEventBound(), ~Tick(0));
+        // Later schedules are relative to the horizon, not the last
+        // event.
+        sim.schedule(3, [&] { ran.push_back(sim.now()); });
+        sim.run();
+        EXPECT_EQ(ran, (std::vector<Tick>{t, limit + 3})) << "t=" << t;
+    }
 }
 
 } // namespace
