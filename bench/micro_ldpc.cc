@@ -3,9 +3,10 @@
  * Google-benchmark microbenchmarks of the LDPC substrate: encoding,
  * syndrome computation (full and pruned, i.e. the ODEAR datapath's
  * work), and min-sum decoding at easy/threshold/hopeless RBER. The
- * Reference* variants time the retained per-edge kernels so the
- * word-parallel speedup is measured in-tree, and BM_ParallelDecode
- * times the thread-pool Monte-Carlo harness end to end.
+ * Reference* variants time the per-edge test oracles (see
+ * tests/reference_kernels.h) so the word-parallel speedup is measured
+ * in-tree, and BM_ParallelDecode times the thread-pool Monte-Carlo
+ * harness end to end.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,6 +18,7 @@
 #include "ldpc/code.h"
 #include "ldpc/decoder.h"
 #include "odear/rearrange.h"
+#include "reference_kernels.h"
 
 namespace {
 
@@ -47,12 +49,12 @@ BENCHMARK(BM_Encode);
 void
 BM_ReferenceEncode(benchmark::State &state)
 {
-    // The retired per-edge encoder, kept for equivalence testing.
+    // The per-edge encoder the equivalence tests compare against.
     const QcLdpcCode &code = theCode();
     Rng rng(1);
     const HardWord data = randomData(code.params().k(), rng);
     for (auto _ : state)
-        benchmark::DoNotOptimize(code.referenceEncode(data));
+        benchmark::DoNotOptimize(reference::encode(code, data));
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(code.params().k() / 8));
@@ -116,7 +118,7 @@ BM_ReferenceSyndrome(benchmark::State &state)
     HardWord word = code.encode(randomData(code.params().k(), rng));
     injectErrors(word, 0.005, rng);
     for (auto _ : state)
-        benchmark::DoNotOptimize(code.referenceSyndrome(word));
+        benchmark::DoNotOptimize(reference::syndrome(code, word));
 }
 BENCHMARK(BM_ReferenceSyndrome);
 

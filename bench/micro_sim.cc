@@ -1,7 +1,7 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulation substrate: event
- * queue throughput (calendar queue vs the PR-1 binary-heap reference),
+ * queue throughput (calendar queue vs the binary-heap reference kernel),
  * read-script planning (pooled in-place vs allocating), and end-to-end
  * simulated requests per second of the full SSD model.
  */
@@ -10,6 +10,7 @@
 
 #include "common/pool.h"
 #include "core/experiment.h"
+#include "reference_kernels.h"
 #include "ssd/devices.h"
 #include "ssd/policy.h"
 #include "ssd/sim.h"
@@ -99,7 +100,7 @@ BENCHMARK(BM_EventQueue)
 void
 BM_ReferenceEventQueue(benchmark::State &state)
 {
-    BM_QueueKernel<ReferenceSimulator>(state);
+    BM_QueueKernel<reference::HeapSimulator>(state);
 }
 BENCHMARK(BM_ReferenceEventQueue)
     ->Arg(static_cast<int>(Mix::Uniform))

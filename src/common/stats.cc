@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
-
 namespace rif {
 
 void
@@ -113,42 +111,6 @@ PercentileTracker::mean() const
     for (double x : samples_)
         s += x;
     return s / static_cast<double>(samples_.size());
-}
-
-Histogram::Histogram(double lo, double hi, int bins)
-    : lo_(lo), hi_(hi),
-      width_((hi - lo) / static_cast<double>(bins)),
-      counts_(static_cast<std::size_t>(bins), 0)
-{
-    RIF_ASSERT(bins > 0 && hi > lo);
-}
-
-void
-Histogram::add(double x)
-{
-    ++total_;
-    if (x < lo_) {
-        ++underflow_;
-    } else if (x >= hi_) {
-        ++overflow_;
-    } else {
-        auto bin = static_cast<std::size_t>((x - lo_) / width_);
-        if (bin >= counts_.size())
-            bin = counts_.size() - 1;
-        ++counts_[bin];
-    }
-}
-
-double
-Histogram::binLow(int i) const
-{
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-double
-Histogram::binHigh(int i) const
-{
-    return lo_ + width_ * static_cast<double>(i + 1);
 }
 
 } // namespace rif

@@ -1,8 +1,8 @@
 /**
  * @file
  * Lightweight statistics containers used by the simulator and the
- * benchmark harnesses: running moments, reservoir-free percentile tracking
- * and fixed-bin histograms for latency CDFs.
+ * benchmark harnesses: running moments and exact percentile tracking for
+ * latency CDFs.
  */
 
 #ifndef RIF_COMMON_STATS_H
@@ -75,31 +75,6 @@ class PercentileTracker
 
     mutable std::vector<double> samples_;
     mutable bool sorted_ = true;
-};
-
-/** Fixed-width-bin histogram over [lo, hi) with under/overflow bins. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, int bins);
-
-    /** Add one sample. */
-    void add(double x);
-
-    int bins() const { return static_cast<int>(counts_.size()); }
-    std::uint64_t binCount(int i) const { return counts_.at(i); }
-    double binLow(int i) const;
-    double binHigh(int i) const;
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t total() const { return total_; }
-
-  private:
-    double lo_, hi_, width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
 };
 
 } // namespace rif

@@ -1,7 +1,5 @@
 #include "core/experiment.h"
 
-#include <memory>
-
 #include "common/parallel.h"
 #include "core/tracing.h"
 
@@ -66,57 +64,6 @@ Experiment::run(trace::TraceSource &source, const std::string &label) const
     metrics::MetricsScope scope;
     out.stats = drive.run(source);
     out.metrics = scope.finish();
-    return out;
-}
-
-RunResult
-Experiment::runMultiTenant(const std::vector<trace::WorkloadSpec> &specs,
-                           const RunScale &scale) const
-{
-    std::vector<std::unique_ptr<trace::SyntheticWorkload>> gens;
-    std::vector<std::unique_ptr<trace::OffsetTrace>> shifted;
-    std::vector<trace::TraceSource *> sources;
-    std::uint64_t offset = 0;
-    std::string label;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        gens.push_back(std::make_unique<trace::SyntheticWorkload>(
-            specs[i], scale.requests, scale.seed + i));
-        shifted.push_back(
-            std::make_unique<trace::OffsetTrace>(*gens.back(), offset));
-        sources.push_back(shifted.back().get());
-        offset += specs[i].footprintPages;
-        if (i)
-            label += "+";
-        label += specs[i].name;
-    }
-
-    ssd::Ssd drive(config_);
-    RunResult out;
-    out.workload = label;
-    out.policy = config_.policy;
-    out.peCycles = config_.peCycles;
-    labelTrack(config_, label);
-    metrics::MetricsScope scope;
-    out.stats = drive.runMultiQueue(sources);
-    out.metrics = scope.finish();
-    return out;
-}
-
-std::vector<RunResult>
-Experiment::sweepPolicies(const std::string &workload_name,
-                          const std::vector<ssd::PolicyKind> &policies,
-                          const RunScale &scale) const
-{
-    // Each policy run is an independent simulation (own Ssd, own trace
-    // generator seeded only by `scale`), so runs execute in parallel with
-    // results landing in per-policy slots.
-    std::vector<RunResult> out(policies.size());
-    parallelFor(policies.size(), [&](std::size_t i) {
-        tracing::TrackScope track(static_cast<std::uint32_t>(i));
-        Experiment e = *this;
-        e.withPolicy(policies[i]);
-        out[i] = e.run(workload_name, scale);
-    });
     return out;
 }
 

@@ -84,7 +84,8 @@ parseBoolValue(const std::string &key, const std::string &value)
 /**
  * One settable field: `make*(value)` parses eagerly (fatal on error)
  * and returns the closure that applies the parsed value later, so a
- * bad `--set` fails before any simulation starts.
+ * bad `--set` fails before any simulation starts. Exactly one maker is
+ * set; the others stay null.
  */
 struct Field
 {
@@ -92,15 +93,15 @@ struct Field
     const char *help;
     std::function<std::function<void(ssd::SsdConfig &)>(
         const std::string &)>
-        makeSsd;
+        makeSsd = nullptr;
     std::function<std::function<void(RunScale &)>(const std::string &)>
-        makeRun;
+        makeRun = nullptr;
     std::function<
         std::function<void(fabric::FleetConfig &)>(const std::string &)>
-        makeFleet;
+        makeFleet = nullptr;
     std::function<std::function<void(trace::WorkloadConfig &)>(
         const std::string &)>
-        makeWorkload;
+        makeWorkload = nullptr;
 };
 
 std::vector<Field>

@@ -215,43 +215,6 @@ QcLdpcCode::encode(const HardWord &data) const
     return out;
 }
 
-HardWord
-QcLdpcCode::referenceEncode(const HardWord &data) const
-{
-    RIF_ASSERT(data.size() == params_.k());
-    const int r = params_.blockRows;
-    const int d = params_.dataBlocks();
-    const int t = params_.circulant;
-
-    HardWord word(params_.n(), 0);
-    std::copy(data.begin(), data.end(), word.begin());
-
-    // Partial syndromes of the data part, per block row.
-    std::vector<HardWord> sd(static_cast<std::size_t>(r),
-                             HardWord(static_cast<std::size_t>(t), 0));
-    for (int i = 0; i < r; ++i) {
-        for (int j = 0; j < d; ++j) {
-            const int c = shift(i, j);
-            const std::size_t base = static_cast<std::size_t>(j) * t;
-            for (int a = 0; a < t; ++a)
-                sd[i][a] ^= data[base + (a + c) % t];
-        }
-    }
-
-    // Back-substitution through the bidiagonal parity part:
-    // p0 = sd0, pk = sdk ^ p(k-1).
-    const std::size_t k = params_.k();
-    HardWord prev(static_cast<std::size_t>(t), 0);
-    for (int i = 0; i < r; ++i) {
-        for (int a = 0; a < t; ++a) {
-            const std::uint8_t p = sd[i][a] ^ prev[a];
-            word[k + static_cast<std::size_t>(i) * t + a] = p;
-            prev[a] = p;
-        }
-    }
-    return word;
-}
-
 void
 QcLdpcCode::syndromeInto(const BitVec &word, BitVec &out) const
 {
@@ -279,20 +242,6 @@ QcLdpcCode::syndrome(const HardWord &word) const
     HardWord out(params_.m());
     s.copyToBytes(out.data());
     return out;
-}
-
-HardWord
-QcLdpcCode::referenceSyndrome(const HardWord &word) const
-{
-    RIF_ASSERT(word.size() == params_.n());
-    HardWord s(params_.m(), 0);
-    for (std::size_t m = 0; m < params_.m(); ++m) {
-        std::uint8_t acc = 0;
-        for (std::uint32_t e = chkStart_[m]; e < chkStart_[m + 1]; ++e)
-            acc ^= word[edgeVar_[e]];
-        s[m] = acc;
-    }
-    return s;
 }
 
 std::size_t

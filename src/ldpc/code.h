@@ -12,8 +12,8 @@
  * cyclic rotation by C, so block row i's syndrome is the XOR of rotated
  * data segments plus the identity parity segments — the same identity the
  * paper's on-die rearrangement datapath exploits, here evaluated 64 bits
- * per operation over BitVec. The original per-edge implementations are
- * kept as reference* methods for equivalence testing.
+ * per operation over BitVec. The per-edge kernels the tests compare
+ * against live in tests/reference_kernels.h.
  */
 
 #ifndef RIF_LDPC_CODE_H
@@ -124,13 +124,6 @@ class QcLdpcCode
      * state callers (decoder iteration loops) allocate nothing.
      */
     bool isCodeword(const BitVec &word, BitVec &row_scratch) const;
-
-    /**
-     * Per-edge reference implementations of the kernels above. Slow;
-     * retained for the word-parallel/per-edge equivalence tests.
-     */
-    HardWord referenceEncode(const HardWord &data) const;
-    HardWord referenceSyndrome(const HardWord &word) const;
 
     /** Variable indices participating in check m, sorted by check. */
     const std::vector<std::uint32_t> &checkAdjacency() const

@@ -1,12 +1,12 @@
 /**
  * @file
- * LDPC decoders over a binary symmetric channel: a normalized min-sum
- * decoder (the workhorse used to measure the code's correction capability,
- * Fig. 3) and a Gallager-B bit-flip decoder (a fast, weaker reference).
- * Both report iteration counts so the simulator's variable tECC model can
- * be derived from measured decoding behaviour.
+ * The off-chip LDPC decoder over a binary symmetric channel: a
+ * normalized min-sum decoder (the workhorse used to measure the code's
+ * correction capability, Fig. 3). It reports iteration counts so the
+ * simulator's variable tECC model can be derived from measured decoding
+ * behaviour.
  *
- * Every decoder accepts an optional caller-owned DecodeWorkspace so the
+ * decode() accepts an optional caller-owned DecodeWorkspace so the
  * hot Monte-Carlo loops perform zero heap allocation in steady state; the
  * workspace also caches the channel-LLR magnitude per distinct RBER. The
  * convenience overloads without a workspace use one thread_local scratch
@@ -50,9 +50,7 @@ struct DecodeWorkspace
     std::vector<float> chan;      ///< per-variable channel LLR
     std::vector<float> v2c;       ///< variable-to-check messages
     std::vector<float> c2v;       ///< check-to-variable messages
-    std::vector<float> posterior; ///< layered-schedule posteriors
     HardWord hard;                ///< current hard decision
-    HardWord synd;                ///< unpacked syndrome (bit-flip)
     BitVec packed;                ///< packed hard decision
     BitVec row;                   ///< per-block-row syndrome accumulator
 
@@ -126,62 +124,6 @@ class MinSumDecoder
     /** Edges grouped by variable: indices into the check-major arrays. */
     std::vector<std::uint32_t> varEdge_;
     std::vector<std::uint32_t> varStart_;
-    /** For each edge (check-major), the owning check. */
-    std::vector<std::uint32_t> edgeChk_;
-};
-
-/**
- * Layered (turbo-decoding message passing) min-sum decoder: checks are
- * processed block row by block row, with variable posteriors updated
- * between layers. In QC-LDPC each variable touches one check per block
- * row, so a layer is conflict-free — the schedule real decoder ASICs
- * use — and convergence takes roughly half the iterations of flooding,
- * which is why commercial tECC figures are as low as 1 us.
- */
-class LayeredMinSumDecoder
-{
-  public:
-    explicit LayeredMinSumDecoder(const QcLdpcCode &code,
-                                  int max_iterations = 20,
-                                  float alpha = 0.8f);
-
-    /** Decode a received hard-decision word (see MinSumDecoder). */
-    DecodeResult decode(const HardWord &received,
-                        double channel_rber = 0.0085) const;
-
-    /** Decode with caller-owned scratch (zero steady-state allocation). */
-    DecodeResult decode(const HardWord &received, double channel_rber,
-                        DecodeWorkspace &ws) const;
-
-    int maxIterations() const { return maxIterations_; }
-
-  private:
-    const QcLdpcCode &code_;
-    int maxIterations_;
-    float alpha_;
-};
-
-/**
- * Gallager-B hard-decision bit-flip decoder: flips any bit whose
- * unsatisfied-check count exceeds half its degree. Cheap but with a much
- * lower threshold than min-sum; used in tests and as an ablation point.
- */
-class BitFlipDecoder
-{
-  public:
-    explicit BitFlipDecoder(const QcLdpcCode &code, int max_iterations = 50);
-
-    DecodeResult decode(const HardWord &received) const;
-
-    /** Decode with caller-owned scratch (zero steady-state allocation). */
-    DecodeResult decode(const HardWord &received, DecodeWorkspace &ws) const;
-
-  private:
-    const QcLdpcCode &code_;
-    int maxIterations_;
-    std::vector<std::uint32_t> varEdge_;
-    std::vector<std::uint32_t> varStart_;
-    std::vector<std::uint32_t> edgeChk_;
 };
 
 } // namespace ldpc

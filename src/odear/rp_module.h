@@ -3,7 +3,7 @@
  * The read-retry predictor (RP) of the ODEAR engine: a syndrome-weight
  * thresholding heuristic with the paper's two approximations (chunk-based
  * prediction over one 4-KiB codeword, syndrome pruning to the first t
- * checks) plus a cycle-level latency model of the 128-bit datapath
+ * checks) plus a fetch-bound latency model of the pipelined datapath
  * (Fig. 16) and the synthesis-derived PPA constants (§VI-C).
  */
 
@@ -35,7 +35,6 @@ struct RpConfig
     int chunkIndex = 0;       ///< which codeword of the page to inspect
 
     /** Datapath parameters for the latency model. */
-    int wordBits = 128;          ///< page-buffer word width
     double clockMhz = 100.0;     ///< RP operating frequency
     double bufferReadUsPerKiB = 0.625; ///< page-buffer fetch, us per KiB
 };

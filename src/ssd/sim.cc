@@ -288,39 +288,5 @@ Simulator::runUntil(Tick limit)
     return now_;
 }
 
-void
-ReferenceSimulator::schedule(Tick delay, Action action)
-{
-    scheduleAt(now_ + delay, std::move(action));
-}
-
-void
-ReferenceSimulator::scheduleAt(Tick when, Action action)
-{
-    RIF_ASSERT(when >= now_, "event scheduled in the past");
-    queue_.push(Event{when, nextSeq_++, std::move(action)});
-}
-
-Tick
-ReferenceSimulator::run()
-{
-    return run(~std::uint64_t(0));
-}
-
-Tick
-ReferenceSimulator::run(std::uint64_t max_events)
-{
-    std::uint64_t budget = max_events;
-    while (!queue_.empty() && budget-- > 0) {
-        // Copy out before pop: the action may schedule more events.
-        Event ev = queue_.top();
-        queue_.pop();
-        now_ = ev.when;
-        ++executed_;
-        ev.action();
-    }
-    return now_;
-}
-
 } // namespace ssd
 } // namespace rif

@@ -4,32 +4,26 @@
  * stable FIFO ordering among same-tick events. Deliberately minimal —
  * components schedule closures; there is no process abstraction.
  *
- * Two kernels live here:
+ * Actions are small-buffer optimized callables (no heap allocation for
+ * captures up to 48 bytes) and the pending-event set is a two-level
+ * calendar queue (timing wheel) tuned for the model's short-horizon
+ * scheduling: a per-tick level covering ~16 us (DMA, decode and
+ * zero-delay events land here at O(1)) cascading from a coarse level
+ * covering ~16.8 ms (sense, program, erase), with a binary-heap overflow
+ * for anything farther out. Same-tick FIFO order is preserved exactly:
+ * per-tick buckets are appended in schedule order and cascades replay
+ * events in (when, seq) order before any later schedule can append. One
+ * simulated run executes on one thread; parallelism lives across
+ * independent runs (sweeps, Monte-Carlo, --jobs).
  *
- *  - Simulator: the production kernel. Actions are small-buffer
- *    optimized callables (no heap allocation for captures up to 48
- *    bytes) and the pending-event set is a two-level calendar queue
- *    (timing wheel) tuned for the model's short-horizon scheduling:
- *    a per-tick level covering ~16 us (DMA, decode and zero-delay
- *    events land here at O(1)) cascading from a coarse level covering
- *    ~16.8 ms (sense, program, erase), with a binary-heap overflow for
- *    anything farther out. Same-tick FIFO order is preserved exactly:
- *    per-tick buckets are appended in schedule order and cascades
- *    replay events in (when, seq) order before any later schedule can
- *    append. One simulated run executes on one thread; parallelism
- *    lives across independent runs (sweeps, Monte-Carlo, --jobs).
- *
- *  - ReferenceSimulator: the PR-1 std::function + binary-heap kernel,
- *    kept as the oracle for equivalence tests and the BM_Reference*
- *    benchmark rows.
+ * The plain std::function + binary-heap kernel that tests and
+ * micro_sim compare against lives in tests/reference_kernels.h.
  */
 
 #ifndef RIF_SSD_SIM_H
 #define RIF_SSD_SIM_H
 
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/inline_function.h"
@@ -176,49 +170,6 @@ class Simulator
     Tick hintTick_ = 0;
     bool hintExact_ = false;
     bool hintValid_ = false;
-};
-
-/**
- * The PR-1 heap-based kernel: std::function actions in a binary heap.
- * Semantically identical to Simulator (time order, same-tick FIFO);
- * kept as the oracle in equivalence tests and for before/after
- * benchmark rows. Not used by the SSD model.
- */
-class ReferenceSimulator
-{
-  public:
-    using Action = std::function<void()>;
-
-    Tick now() const { return now_; }
-    void schedule(Tick delay, Action action);
-    void scheduleAt(Tick when, Action action);
-    Tick run();
-    Tick run(std::uint64_t max_events);
-    std::uint64_t eventsExecuted() const { return executed_; }
-    bool empty() const { return queue_.empty(); }
-
-  private:
-    struct Event
-    {
-        Tick when;
-        std::uint64_t seq;
-        Action action;
-    };
-    struct Later
-    {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
-    Tick now_ = 0;
-    std::uint64_t nextSeq_ = 0;
-    std::uint64_t executed_ = 0;
-    std::priority_queue<Event, std::vector<Event>, Later> queue_;
 };
 
 } // namespace ssd

@@ -233,24 +233,6 @@ TEST(PercentileTracker, CdfIsMonotone)
     EXPECT_NEAR(cdf.back().second, 1.0, 1e-9);
 }
 
-TEST(Histogram, BinningAndOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1.0);
-    h.add(0.0);
-    h.add(9.999);
-    h.add(10.0);
-    h.add(5.5);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
-    EXPECT_EQ(h.binCount(5), 1u);
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_DOUBLE_EQ(h.binLow(5), 5.0);
-    EXPECT_DOUBLE_EQ(h.binHigh(5), 6.0);
-}
-
 TEST(Units, Conversions)
 {
     EXPECT_EQ(usToTicks(40.0), 40000u);

@@ -102,15 +102,6 @@ TEST(EdgeNand, VrefSequenceMinimumSteps)
     EXPECT_DOUBLE_EQ(seq.step(0).offsetVolts, 0.0);
 }
 
-TEST(EdgeOdear, DatapathRejectsMisalignedWordWidth)
-{
-    ldpc::CodeParams p;
-    p.circulant = 96; // not a multiple of 128
-    const ldpc::QcLdpcCode code(p);
-    EXPECT_DEATH(odear::RpDatapath(code, 10, 128, 100.0),
-                 "word-aligned");
-}
-
 TEST(EdgeOdear, PipelineWithNonZeroChunkIndex)
 {
     // Chunk-based prediction may inspect any codeword of the page.

@@ -14,14 +14,6 @@
 namespace rif {
 namespace {
 
-RunScale
-tinyScale()
-{
-    RunScale s;
-    s.requests = 600;
-    return s;
-}
-
 Experiment
 smallExperiment()
 {
@@ -49,53 +41,12 @@ TEST(Experiment, RunsNamedWorkload)
     EXPECT_GT(r.bandwidthMBps(), 0.0);
 }
 
-TEST(Experiment, SweepPreservesPolicyOrder)
-{
-    Experiment e = smallExperiment();
-    e.withPeCycles(0.0);
-    // Use the full default geometry path through named workloads: the
-    // default footprints require the default geometry, so keep it.
-    Experiment full;
-    full.withPeCycles(0.0);
-    const std::vector<ssd::PolicyKind> policies = {
-        ssd::PolicyKind::Zero, ssd::PolicyKind::Rif};
-    const auto results =
-        full.sweepPolicies("Ali2", policies, tinyScale());
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].policy, ssd::PolicyKind::Zero);
-    EXPECT_EQ(results[1].policy, ssd::PolicyKind::Rif);
-    for (const auto &r : results)
-        EXPECT_GT(r.bandwidthMBps(), 0.0);
-}
-
 TEST(Experiment, ConfigChaining)
 {
     Experiment e;
     e.withPolicy(ssd::PolicyKind::Sentinel).withPeCycles(2000.0);
     EXPECT_EQ(e.config().policy, ssd::PolicyKind::Sentinel);
     EXPECT_DOUBLE_EQ(e.config().peCycles, 2000.0);
-}
-
-TEST(Experiment, MultiTenantRunPartitionsTenants)
-{
-    Experiment e = smallExperiment();
-    e.withPolicy(ssd::PolicyKind::Rif).withPeCycles(1000.0);
-    trace::WorkloadSpec a;
-    a.name = "reader";
-    a.readRatio = 1.0;
-    a.coldReadRatio = 0.8;
-    a.footprintPages = 4096;
-    trace::WorkloadSpec b = a;
-    b.name = "writer";
-    b.readRatio = 0.2;
-    RunScale scale;
-    scale.requests = 400;
-    const RunResult r = e.runMultiTenant({a, b}, scale);
-    EXPECT_EQ(r.workload, "reader+writer");
-    EXPECT_EQ(r.stats.hostRequests, 800u);
-    ASSERT_EQ(r.stats.queueReadLatencyUs.size(), 2u);
-    EXPECT_EQ(r.stats.queueReadLatencyUs[0].count(), 400u);
-    EXPECT_GT(r.bandwidthMBps(), 0.0);
 }
 
 TEST(Experiment, VersionString)

@@ -16,6 +16,7 @@
 #include "ldpc/channel.h"
 #include "ldpc/code.h"
 #include "ldpc/decoder.h"
+#include "reference_kernels.h"
 
 namespace rif {
 namespace ldpc {
@@ -249,100 +250,6 @@ TEST(MinSumDecoder, IterationsGrowWithErrorRate)
     EXPECT_LT(avg_iters(0.001), avg_iters(0.006));
 }
 
-TEST(LayeredMinSumDecoder, CleanWordDecodesImmediately)
-{
-    const QcLdpcCode code(smallParams());
-    const LayeredMinSumDecoder dec(code);
-    Rng rng(30);
-    const HardWord word = code.encode(randomData(code.params().k(), rng));
-    const DecodeResult res = dec.decode(word, 0.001);
-    EXPECT_TRUE(res.success);
-    EXPECT_EQ(res.iterations, 1);
-}
-
-TEST(LayeredMinSumDecoder, CorrectsModerateErrors)
-{
-    const QcLdpcCode code(smallParams());
-    const LayeredMinSumDecoder dec(code);
-    Rng rng(31);
-    for (int trial = 0; trial < 8; ++trial) {
-        const HardWord clean =
-            code.encode(randomData(code.params().k(), rng));
-        HardWord noisy = clean;
-        injectErrors(noisy, 0.004, rng);
-        const DecodeResult res = dec.decode(noisy, 0.004);
-        ASSERT_TRUE(res.success);
-        EXPECT_EQ(res.word, clean);
-    }
-}
-
-TEST(LayeredMinSumDecoder, ConvergesFasterThanFlooding)
-{
-    // The layered schedule propagates within an iteration: on average
-    // it needs fewer sweeps than flooding at moderate error rates.
-    const QcLdpcCode code(smallParams(128));
-    const MinSumDecoder flooding(code);
-    const LayeredMinSumDecoder layered(code);
-    Rng rng(32);
-    double flood_iters = 0.0, layer_iters = 0.0;
-    int both = 0;
-    for (int trial = 0; trial < 12; ++trial) {
-        HardWord w = code.encode(randomData(code.params().k(), rng));
-        injectErrors(w, 0.005, rng);
-        const DecodeResult f = flooding.decode(w, 0.005);
-        const DecodeResult l = layered.decode(w, 0.005);
-        if (f.success && l.success) {
-            flood_iters += f.iterations;
-            layer_iters += l.iterations;
-            ++both;
-        }
-    }
-    ASSERT_GT(both, 6);
-    EXPECT_LT(layer_iters, flood_iters);
-}
-
-TEST(LayeredMinSumDecoder, FailsGracefullyAtHugeErrorRates)
-{
-    const QcLdpcCode code(smallParams());
-    const LayeredMinSumDecoder dec(code, 8);
-    Rng rng(33);
-    HardWord w = code.encode(randomData(code.params().k(), rng));
-    injectErrors(w, 0.2, rng);
-    const DecodeResult res = dec.decode(w, 0.2);
-    EXPECT_FALSE(res.success);
-    EXPECT_EQ(res.iterations, 8);
-}
-
-TEST(BitFlipDecoder, CorrectsSparseErrors)
-{
-    const QcLdpcCode code(smallParams());
-    const BitFlipDecoder dec(code);
-    Rng rng(18);
-    const HardWord clean = code.encode(randomData(code.params().k(), rng));
-    HardWord noisy = clean;
-    injectExactErrors(noisy, 2, rng);
-    const DecodeResult res = dec.decode(noisy);
-    ASSERT_TRUE(res.success);
-    EXPECT_EQ(res.word, clean);
-}
-
-TEST(BitFlipDecoder, WeakerThanMinSum)
-{
-    const QcLdpcCode code(smallParams());
-    const MinSumDecoder ms(code);
-    const BitFlipDecoder bf(code);
-    Rng rng(19);
-    int ms_wins = 0, bf_wins = 0;
-    for (int t = 0; t < 10; ++t) {
-        HardWord w = code.encode(randomData(code.params().k(), rng));
-        injectErrors(w, 0.004, rng);
-        ms_wins += ms.decode(w, 0.004).success;
-        bf_wins += bf.decode(w).success;
-    }
-    EXPECT_GE(ms_wins, bf_wins);
-    EXPECT_EQ(ms_wins, 10);
-}
-
 TEST(Capability, FailureProbabilityIsMonotoneInRber)
 {
     const QcLdpcCode code(smallParams());
@@ -404,7 +311,7 @@ TEST_P(WordParallelEquivalence, EncodeMatchesReference)
     Rng rng(500 + GetParam());
     for (int trial = 0; trial < 5; ++trial) {
         const HardWord data = randomData(code.params().k(), rng);
-        EXPECT_EQ(code.encode(data), code.referenceEncode(data));
+        EXPECT_EQ(code.encode(data), reference::encode(code, data));
     }
 }
 
@@ -415,7 +322,7 @@ TEST_P(WordParallelEquivalence, SyndromeMatchesReference)
     for (int trial = 0; trial < 5; ++trial) {
         HardWord word = code.encode(randomData(code.params().k(), rng));
         injectErrors(word, 0.01, rng);
-        const HardWord ref = code.referenceSyndrome(word);
+        const HardWord ref = reference::syndrome(code, word);
         EXPECT_EQ(code.syndrome(word), ref);
 
         std::size_t ref_weight = 0, ref_pruned = 0;
@@ -456,8 +363,6 @@ TEST(DecodeWorkspaceTest, WorkspaceDecodeMatchesDefault)
 {
     const QcLdpcCode code(smallParams());
     const MinSumDecoder ms(code);
-    const LayeredMinSumDecoder layered(code);
-    const BitFlipDecoder bf(code);
     Rng rng(800);
     DecodeWorkspace ws;
     for (int trial = 0; trial < 5; ++trial) {
@@ -468,16 +373,6 @@ TEST(DecodeWorkspaceTest, WorkspaceDecodeMatchesDefault)
         EXPECT_EQ(a.success, b.success);
         EXPECT_EQ(a.iterations, b.iterations);
         EXPECT_EQ(a.word, b.word);
-
-        const DecodeResult la = layered.decode(w, 0.004);
-        const DecodeResult lb = layered.decode(w, 0.004, ws);
-        EXPECT_EQ(la.success, lb.success);
-        EXPECT_EQ(la.iterations, lb.iterations);
-
-        const DecodeResult fa = bf.decode(w);
-        const DecodeResult fb = bf.decode(w, ws);
-        EXPECT_EQ(fa.success, fb.success);
-        EXPECT_EQ(fa.iterations, fb.iterations);
     }
 }
 

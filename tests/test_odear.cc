@@ -14,7 +14,6 @@
 #include "ldpc/channel.h"
 #include "nand/vth_model.h"
 #include "odear/accuracy.h"
-#include "odear/datapath.h"
 #include "odear/overhead.h"
 #include "odear/rearrange.h"
 #include "odear/rp_module.h"
@@ -340,60 +339,6 @@ TEST(RvsModule, NoisierCounterIsLessAccurate)
         coarse_err += b.predictedRber - b.optimalRber;
     }
     EXPECT_LT(fine_err, coarse_err);
-}
-
-TEST(RpDatapath, MatchesRearrangerSyndromeWeight)
-{
-    // The cycle-level pipeline must compute exactly the same weight as
-    // the algorithmic rearranger on every input.
-    const ldpc::QcLdpcCode code(smallParams(128));
-    const CodewordRearranger rr(code);
-    const RpDatapath dp(code, 30, 128, 100.0);
-    Rng rng(40);
-    for (double rber : {0.0, 0.003, 0.02}) {
-        ldpc::HardWord word =
-            code.encode(ldpc::randomData(code.params().k(), rng));
-        ldpc::injectErrors(word, rber, rng);
-        const BitVec flash = rr.toFlashLayout(ldpc::toBitVec(word));
-        const DatapathResult res = dp.run(flash);
-        EXPECT_EQ(res.syndromeWeight, rr.onDieSyndromeWeight(flash))
-            << "rber=" << rber;
-        EXPECT_EQ(res.predictRetry, res.syndromeWeight > 30);
-    }
-}
-
-TEST(RpDatapath, LatencyMatchesPaperTPred)
-{
-    // Full-size code: 33 segments x 8 words of 128 bits at 100 MHz is
-    // ~2.6 us — the paper's 2.5 us tPRED from first principles.
-    const ldpc::QcLdpcCode code(ldpc::paperCode());
-    const RpDatapath dp(code, 222);
-    EXPECT_EQ(dp.fetchCycles(), 33u * 8u);
-    const CodewordRearranger rr(code);
-    Rng rng(41);
-    const ldpc::HardWord word =
-        code.encode(ldpc::randomData(code.params().k(), rng));
-    const BitVec flash = rr.toFlashLayout(ldpc::toBitVec(word));
-    const DatapathResult res = dp.run(flash);
-    EXPECT_EQ(res.cycles, dp.fetchCycles() + 3);
-    EXPECT_NEAR(ticksToUs(res.latency), 2.5, 0.3);
-}
-
-TEST(RpDatapath, FasterClockLowersLatencyNotWeight)
-{
-    const ldpc::QcLdpcCode code(smallParams(128));
-    const CodewordRearranger rr(code);
-    const RpDatapath slow(code, 30, 128, 100.0);
-    const RpDatapath fast(code, 30, 128, 400.0);
-    Rng rng(42);
-    ldpc::HardWord word =
-        code.encode(ldpc::randomData(code.params().k(), rng));
-    ldpc::injectErrors(word, 0.01, rng);
-    const BitVec flash = rr.toFlashLayout(ldpc::toBitVec(word));
-    const auto a = slow.run(flash);
-    const auto b = fast.run(flash);
-    EXPECT_EQ(a.syndromeWeight, b.syndromeWeight);
-    EXPECT_GT(a.latency, b.latency);
 }
 
 TEST(OverheadModel, PaperConstants)

@@ -1,16 +1,12 @@
 /**
  * @file
  * Tests of the layered `--set` option layer, the config name parsers
- * (parsePolicy / parseRberSource), SsdConfig::validate(), the workload
- * lookup helpers and the bench scale helpers.
+ * (parsePolicy / parseRberSource), SsdConfig::validate() and the
+ * workload lookup helpers.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
-
-#include "bench_util.h"
 #include "core/options.h"
 #include "trace/trace.h"
 
@@ -311,52 +307,6 @@ TEST(WorkloadLookup, FindsEveryPaperWorkload)
     }
     EXPECT_EQ(trace::findWorkload("NotAWorkload"), nullptr);
     EXPECT_EQ(trace::findWorkload(""), nullptr);
-}
-
-// ---------------------------------------------------------------------
-// bench:: scale helpers (satellite: overflow clamp + inf/nan rejection).
-// ---------------------------------------------------------------------
-
-TEST(BenchScaled, ClampsInsteadOfOverflowing)
-{
-    EXPECT_EQ(bench::scaled(1u << 20, 1e12),
-              std::numeric_limits<int>::max());
-    EXPECT_EQ(bench::scaled(std::numeric_limits<std::uint64_t>::max(),
-                            1.0),
-              std::numeric_limits<int>::max());
-    EXPECT_EQ(bench::scaled(0, 1.0), 1);
-    EXPECT_EQ(bench::scaled(100, 1e-9), 1);
-    EXPECT_EQ(bench::scaled(1000, 0.5), 500);
-}
-
-TEST(BenchScaled, NonFiniteOrNonPositiveScalesFallBackToOne)
-{
-    EXPECT_EQ(bench::scaled(1000, std::nan("")), 1);
-    EXPECT_EQ(bench::scaled(1000, INFINITY), 1);
-    EXPECT_EQ(bench::scaled(1000, -INFINITY), 1);
-    EXPECT_EQ(bench::scaled(1000, 0.0), 1);
-    EXPECT_EQ(bench::scaled(1000, -2.0), 1);
-}
-
-TEST(BenchScaleArg, AcceptsOnlyFinitePositiveScales)
-{
-    auto scale_of = [](std::vector<const char *> argv) {
-        argv.insert(argv.begin(), "bench");
-        return bench::scaleArg(static_cast<int>(argv.size()),
-                               const_cast<char **>(argv.data()));
-    };
-    EXPECT_DOUBLE_EQ(scale_of({"0.5"}), 0.5);
-    EXPECT_DOUBLE_EQ(scale_of({"--quick"}), 0.25);
-    EXPECT_DOUBLE_EQ(scale_of({}), 1.0);
-    // inf/nan/zero/negative and non-numeric arguments are ignored.
-    EXPECT_DOUBLE_EQ(scale_of({"inf"}), 1.0);
-    EXPECT_DOUBLE_EQ(scale_of({"nan"}), 1.0);
-    EXPECT_DOUBLE_EQ(scale_of({"-inf"}), 1.0);
-    EXPECT_DOUBLE_EQ(scale_of({"0"}), 1.0);
-    EXPECT_DOUBLE_EQ(scale_of({"-3"}), 1.0);
-    EXPECT_DOUBLE_EQ(scale_of({"fast"}), 1.0);
-    // The first acceptable argument wins.
-    EXPECT_DOUBLE_EQ(scale_of({"nan", "2.0"}), 2.0);
 }
 
 } // namespace

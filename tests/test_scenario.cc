@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -79,17 +80,29 @@ TEST(ScenarioRegistryDeathTest, RejectsDuplicateRegistration)
     EXPECT_DEATH(ScenarioRegistry::instance().add(*all[0]), "duplicate");
 }
 
-TEST(ScenarioContext, ScaledClampsLikeBenchScaled)
+TEST(ScenarioContext, ScaledClampsOverflowAndNonFiniteScales)
 {
     const core::OptionSet opts;
     std::ostringstream os;
     core::TableSink sink(os);
     core::ScenarioContext ctx{sink, opts, 1e12};
+    // Overflow clamps to INT_MAX instead of wrapping the int cast.
     EXPECT_EQ(ctx.scaled(1u << 20), std::numeric_limits<int>::max());
-    ctx.scale = 0.0;
-    EXPECT_EQ(ctx.scaled(1000), 1);
+    ctx.scale = 1.0;
+    EXPECT_EQ(ctx.scaled(std::numeric_limits<std::uint64_t>::max()),
+              std::numeric_limits<int>::max());
+    // A count is never below one.
+    EXPECT_EQ(ctx.scaled(0), 1);
+    ctx.scale = 1e-9;
+    EXPECT_EQ(ctx.scaled(100), 1);
     ctx.scale = 0.5;
     EXPECT_EQ(ctx.scaled(1000), 500);
+    // Non-finite and non-positive scales fall back to one.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : {0.0, -2.0, std::nan(""), inf, -inf}) {
+        ctx.scale = bad;
+        EXPECT_EQ(ctx.scaled(1000), 1) << "scale=" << bad;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "reference_kernels.h"
 #include "ssd/sim.h"
 
 namespace rif {
@@ -195,7 +196,7 @@ TEST(Simulator, SchedulingInThePastDies)
 
 TEST(ReferenceSimulator, SchedulingInThePastDies)
 {
-    ReferenceSimulator sim;
+    reference::HeapSimulator sim;
     sim.schedule(10, [] {});
     sim.run();
     EXPECT_DEATH(sim.scheduleAt(5, [] {}), "past");
@@ -247,7 +248,7 @@ TEST(Simulator, MatchesReferenceKernelOnRandomScripts)
 {
     for (std::uint64_t seed : {1u, 7u, 42u, 1234u}) {
         const auto calendar = runRandomScript<Simulator>(seed);
-        const auto heap = runRandomScript<ReferenceSimulator>(seed);
+        const auto heap = runRandomScript<reference::HeapSimulator>(seed);
         ASSERT_EQ(calendar.size(), heap.size()) << "seed=" << seed;
         EXPECT_EQ(calendar, heap) << "seed=" << seed;
     }
